@@ -9,8 +9,8 @@ type t = {
   q : int;
   family : family;
   (* Flattened edge list [|u0;v0;u1;v1;...|] with u < v, sorted; empty
-     for the clique, whose statistic goes through the counting-sort
-     collision kernel instead of an O(q^2) edge walk. *)
+     for the clique and the complete bipartite graph, whose statistics
+     go through counting kernels instead of an O(q^2) edge walk. *)
   edge_ends : int array;
   edge_count : int;
   triangle_count : int;
@@ -144,6 +144,21 @@ let clique_triangles_f q =
   let qf = float_of_int q in
   qf *. (qf -. 1.) *. (qf -. 2.) /. 6.
 
+(* Graphs given by an edge list: sorted, flattened, triangles counted. *)
+let of_pairs ~q family pairs =
+  let pairs = sort_edges pairs in
+  let m = List.length pairs in
+  let triangles = count_triangles ~q pairs in
+  {
+    q;
+    family;
+    edge_ends = flatten_edges pairs;
+    edge_count = m;
+    triangle_count = triangles;
+    edges_f = float_of_int m;
+    triangles_f = float_of_int triangles;
+  }
+
 let build ~q family =
   if q < 0 then invalid_arg "Comparison_graph.build: q must be non-negative";
   match family with
@@ -157,51 +172,42 @@ let build ~q family =
         edges_f = clique_edges_f q;
         triangles_f = clique_triangles_f q;
       }
-  | _ ->
-      let pairs =
-        match family with
-        | Clique -> assert false
-        | Matching ->
-            (* Consecutive disjoint pairs; an odd last sample is unmatched. *)
-            List.init (q / 2) (fun i -> (2 * i, (2 * i) + 1))
-        | Bipartite ->
-            (* Complete bipartite between the first floor(q/2) samples
-               and the rest. *)
-            let a = q / 2 in
-            List.concat_map
-              (fun u -> List.init (q - a) (fun i -> (u, a + i)))
-              (List.init a Fun.id)
-        | Random_regular { degree; seed } ->
-            random_regular_edges ~q ~degree ~seed
-        | Explicit pairs ->
-            let pairs =
-              sort_edges
-                (List.map
-                   (normalize_edge "Comparison_graph.build" q)
-                   (Array.to_list pairs))
-            in
-            let rec dup = function
-              | (a, b) :: ((c, d) :: _ as rest) ->
-                  if a = c && b = d then
-                    invalid_arg "Comparison_graph.build: duplicate edge"
-                  else dup rest
-              | _ -> ()
-            in
-            dup pairs;
-            pairs
-      in
-      let pairs = sort_edges pairs in
-      let m = List.length pairs in
-      let triangles = count_triangles ~q pairs in
+  | Bipartite ->
+      (* Complete bipartite between the first floor(q/2) samples and the
+         rest: a(q-a) edges and, being bipartite, no triangles. The
+         statistic is a counting kernel, so no edge list is kept. *)
+      let a = q / 2 in
+      let m = a * (q - a) in
       {
         q;
         family;
-        edge_ends = flatten_edges pairs;
+        edge_ends = [||];
         edge_count = m;
-        triangle_count = triangles;
+        triangle_count = 0;
         edges_f = float_of_int m;
-        triangles_f = float_of_int triangles;
+        triangles_f = 0.;
       }
+  | Matching ->
+      (* Consecutive disjoint pairs; an odd last sample is unmatched. *)
+      of_pairs ~q family (List.init (q / 2) (fun i -> (2 * i, (2 * i) + 1)))
+  | Random_regular { degree; seed } ->
+      of_pairs ~q family (random_regular_edges ~q ~degree ~seed)
+  | Explicit pairs ->
+      let pairs =
+        sort_edges
+          (List.map
+             (normalize_edge "Comparison_graph.build" q)
+             (Array.to_list pairs))
+      in
+      let rec dup = function
+        | (a, b) :: ((c, d) :: _ as rest) ->
+            if a = c && b = d then
+              invalid_arg "Comparison_graph.build: duplicate edge"
+            else dup rest
+        | _ -> ()
+      in
+      dup pairs;
+      of_pairs ~q family pairs
 
 let q t = t.q
 
@@ -222,7 +228,11 @@ let edges t =
         done
       done;
       out
-  | _ ->
+  | Bipartite ->
+      let a = t.q / 2 in
+      let b = t.q - a in
+      Array.init t.edge_count (fun i -> (i / b, a + (i mod b)))
+  | Matching | Random_regular _ | Explicit _ ->
       Array.init t.edge_count (fun i ->
           (t.edge_ends.(2 * i), t.edge_ends.((2 * i) + 1)))
 
@@ -235,7 +245,8 @@ let statistic ~n t samples =
     invalid_arg "Comparison_graph.statistic: sample count <> q";
   match t.family with
   | Clique -> Local_stat.collisions_bounded ~n samples
-  | _ ->
+  | Bipartite -> Local_stat.cross_collisions_bounded ~n ~split:(t.q / 2) samples
+  | Matching | Random_regular _ | Explicit _ ->
       let ends = t.edge_ends in
       let acc = ref 0 in
       for i = 0 to t.edge_count - 1 do
@@ -319,9 +330,8 @@ let tester_and ~n ~eps ~k ~q family =
 
 let reject_count_midpoint ~n ~eps g k rng =
   (* One uniform round's reject count with midpoint-cutoff players —
-     the calibration statistic, identical round shape (and for the
-     clique identical draws and votes) to the hand-written majority
-     tester's. *)
+     the calibration statistic, shared with [Threshold_tester]'s
+     calibrated majority (the clique instance). *)
   let source = Dut_protocol.Network.uniform_source ~n in
   let cutoff = midpoint_cutoff ~n g ~eps in
   let player ~index:_ _coins samples =
@@ -333,17 +343,20 @@ let reject_count_midpoint ~n ~eps g k rng =
   in
   Array.fold_left (fun acc v -> if v then acc else acc + 1) 0 round.votes
 
+let majority_referee_cutoff ~n ~eps ~k ~calibration_trials ~rng g =
+  let calibration_rng = Dut_prng.Rng.split rng in
+  Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
+    calibration_rng
+    ~rejects:(fun r -> reject_count_midpoint ~n ~eps g k r)
+    ~level:0.2
+
 let tester_majority ~n ~eps ~k ~q ~calibration_trials ~rng family =
   check ~n ~eps ~k ~q;
   if calibration_trials <= 0 then
     invalid_arg "Comparison_graph.tester_majority: trials <= 0";
   let g = build ~q family in
-  let calibration_rng = Dut_prng.Rng.split rng in
   let referee_cutoff =
-    Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
-      calibration_rng
-      ~rejects:(fun r -> reject_count_midpoint ~n ~eps g k r)
-      ~level:0.2
+    majority_referee_cutoff ~n ~eps ~k ~calibration_trials ~rng g
   in
   let cutoff = midpoint_cutoff ~n g ~eps in
   let player ~index:_ _coins samples =

@@ -16,8 +16,15 @@
       counts use the same expressions as {!Local_stat}'s clique
       wrappers, so clique-graph verdicts are bit-identical to the
       hand-written testers' by construction.
-    - Non-clique statistics are a branch-free walk over a flattened,
-      sorted edge array — no allocation per evaluation.
+    - The complete bipartite statistic is a counting kernel,
+      {!Local_stat.cross_collisions_bounded}: sum over values of
+      cnt_A·cnt_B through the same scratch histogram, O(q) with no
+      allocation for n ≤ 2^16, and C(A∪B) − C(A) − C(B) by sorting
+      beyond that universe. Its edge and triangle counts are closed
+      forms (a(q−a) and 0); no edge list is built.
+    - Matching, regular and explicit statistics are a branch-free walk
+      over a flattened, sorted edge array — no allocation per
+      evaluation.
     - [Random_regular] graphs are a pure function of (q, degree, seed):
       a circulant base mixed by a deterministic double-edge-swap walk. *)
 
@@ -37,8 +44,8 @@ type family =
           self-loops, no duplicates (checked). *)
 
 type t
-(** A comparison graph on q samples, with precomputed edge array and
-    edge/triangle counts. *)
+(** A comparison graph on q samples, with its edge/triangle counts and,
+    for the edge-walked families, a precomputed edge array. *)
 
 val build : q:int -> family -> t
 (** Construct the graph for [q] samples.
@@ -57,16 +64,18 @@ val edge_count : t -> int
 val triangle_count : t -> int
 
 val edges : t -> (int * int) array
-(** The edge set, sorted, each as (u, v) with u < v. For the clique
-    this materializes all C(q,2) pairs — meant for tests and small q. *)
+(** The edge set, sorted, each as (u, v) with u < v. For the clique and
+    the complete bipartite graph this materializes all C(q,2) or a(q−a)
+    pairs — meant for tests and small q. *)
 
 val name : t -> string
 (** {!family_name} of the graph's family. *)
 
 val statistic : n:int -> t -> int array -> int
 (** Number of edges (i, j) with samples.(i) = samples.(j). The clique
-    delegates to {!Local_stat.collisions_bounded}; other families walk
-    the edge array.
+    delegates to {!Local_stat.collisions_bounded}, the complete
+    bipartite graph to {!Local_stat.cross_collisions_bounded}; other
+    families walk the edge array.
 
     @raise Invalid_argument if the sample array's length is not [q t]. *)
 
@@ -123,5 +132,17 @@ val tester_majority :
   Evaluate.tester
 (** Calibrated-threshold referee over midpoint-cutoff players: the
     referee cutoff is the empirical null reject-count quantile
-    ([Calibrate.reject_count_cutoff ~level:0.2], [calibration_trials]
-    uniform rounds on a split of [rng]). *)
+    ({!majority_referee_cutoff}). *)
+
+val majority_referee_cutoff :
+  n:int ->
+  eps:float ->
+  k:int ->
+  calibration_trials:int ->
+  rng:Dut_prng.Rng.t ->
+  t ->
+  int
+(** The calibrated referee cutoff over midpoint-cutoff players on graph
+    [t]: the empirical null reject-count quantile
+    ([Calibrate.reject_count_cutoff ~level:0.2]) of [calibration_trials]
+    uniform k-player rounds drawn from one split of [rng]. *)

@@ -41,6 +41,30 @@ let collisions_bounded ~n samples =
     let h = Dut_engine.Scratch.hist ~size:n in
     bump_all h samples 0 (Array.length samples) 0
 
+let rec count_range h samples i stop acc =
+  if i >= stop then acc
+  else
+    count_range h samples (i + 1) stop
+      (acc + Dut_engine.Scratch.count h (Array.unsafe_get samples i))
+
+let cross_collisions_bounded ~n ~split samples =
+  if n <= 0 then invalid_arg "Local_stat.cross_collisions_bounded: n <= 0";
+  let q = Array.length samples in
+  if split < 0 || split > q then
+    invalid_arg "Local_stat.cross_collisions_bounded: split outside [0,q]";
+  if n > hist_universe_limit then
+    (* Every equal pair lies inside A, inside B, or across the cut. *)
+    collisions samples
+    - collisions (Array.sub samples 0 split)
+    - collisions (Array.sub samples split (q - split))
+  else begin
+    (* sum_x cnt_A(x) * cnt_B(x): histogram A, then each sample of B
+       meets exactly cnt_A(its value) samples of A. *)
+    let h = Dut_engine.Scratch.hist ~size:n in
+    ignore (bump_all h samples 0 split 0);
+    count_range h samples split q 0
+  end
+
 let pairs q = float_of_int q *. float_of_int (q - 1) /. 2.
 
 let triples q =

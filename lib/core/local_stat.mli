@@ -31,6 +31,19 @@ val collisions_bounded : n:int -> int array -> int
     @raise Invalid_argument if [n <= 0]; samples outside [0 .. n-1] are
     undefined behaviour on the counting path. *)
 
+val cross_collisions_bounded : n:int -> split:int -> int array -> int
+(** Number of equal pairs (u, v) with u < [split] <= v: the statistic of
+    the complete bipartite comparison graph between the first [split]
+    samples (A) and the rest (B). It equals sum over values x of
+    cnt_A(x)·cnt_B(x), so for n ≤ 2^16 it is one O(q), allocation-free
+    pass through the same scratch histogram as {!collisions_bounded}
+    (histogram A, then look up each sample of B). Beyond that universe
+    it is C(A∪B) − C(A) − C(B) by {!collisions}.
+
+    @raise Invalid_argument if [n <= 0] or [split] is outside
+    [0, length]; samples outside [0 .. n-1] are undefined behaviour on
+    the counting path. *)
+
 (** {2 The edge-parameterized cutoff core}
 
     [edges] and [triangles] are float counts of the comparison graph's

@@ -1,7 +1,7 @@
 (* Threshold testers are the clique comparison graph under a
-   reject-threshold referee (fixed or calibrated): statistics and
-   cutoffs come from [Comparison_graph]; this module keeps the
-   historical API, names, and validation messages. *)
+   reject-threshold referee (fixed or calibrated): statistics, cutoffs
+   and the majority calibration come from [Comparison_graph]; this
+   module keeps the historical API, names, and validation messages. *)
 
 type style =
   | Majority of { referee_cutoff : int }
@@ -22,30 +22,14 @@ let check ~n ~eps ~k ~q =
 
 let clique ~q = Comparison_graph.build ~q Comparison_graph.Clique
 
-let reject_count_midpoint ~n ~eps g rng k =
-  (* One uniform round's reject count with midpoint-cutoff players. *)
-  let source = Dut_protocol.Network.uniform_source ~n in
-  let cutoff = Comparison_graph.midpoint_cutoff ~n g ~eps in
-  let player ~index:_ _coins samples =
-    Local_stat.accepts_midpoint ~cutoff (Comparison_graph.statistic ~n g samples)
-  in
-  let round =
-    Dut_protocol.Network.round ~rng ~source ~k ~q:(Comparison_graph.q g) ~player
-      ~rule:Dut_protocol.Rule.Majority
-  in
-  Array.fold_left (fun acc v -> if v then acc else acc + 1) 0 round.votes
-
 let make_majority ~n ~eps ~k ~q ~calibration_trials ~rng =
   check ~n ~eps ~k ~q;
   if calibration_trials <= 0 then
     invalid_arg "Threshold_tester.make_majority: trials <= 0";
   let g = clique ~q in
-  let calibration_rng = Dut_prng.Rng.split rng in
   let cutoff =
-    Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
-      calibration_rng
-      ~rejects:(fun r -> reject_count_midpoint ~n ~eps g r k)
-      ~level:0.2
+    Comparison_graph.majority_referee_cutoff ~n ~eps ~k ~calibration_trials
+      ~rng g
   in
   { n; eps; k; q; g; style = Majority { referee_cutoff = cutoff } }
 

@@ -52,18 +52,8 @@ let decentralized_tester ~graph ~n ~eps ~q ~gossip_rounds ~calibration_trials ~r
   let k = Graph.n graph in
   (* Same calibrated cutoff as the tree-based tester, expressed as a
      fraction so each node can compare its local average estimate. *)
-  let calibration_rng = Dut_prng.Rng.split rng in
-  let null_rejects r =
-    let count = ref 0 in
-    for _ = 1 to k do
-      let samples = Array.init q (fun _ -> Dut_prng.Rng.int r n) in
-      if not (Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples) then incr count
-    done;
-    !count
-  in
   let cutoff_count =
-    Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
-      calibration_rng ~rejects:null_rejects ~level:0.2
+    Local_tester.null_reject_cutoff ~k ~n ~eps ~q ~calibration_trials ~rng
   in
   (* Compare strictly-below against the midpoint of cutoff-1 and cutoff,
      so gossip estimates straddling the integer cutoff break the right

@@ -17,16 +17,10 @@ type node_state = {
 
 type message = Count of int | Verdict of bool
 
-let make ~graph ~n ~eps ~q ~calibration_trials ~rng =
-  if n <= 0 || q < 0 then invalid_arg "Local_tester.make: bad sizes";
-  if eps <= 0. || eps >= 1. then invalid_arg "Local_tester.make: eps out of (0,1)";
-  if calibration_trials <= 0 then invalid_arg "Local_tester.make: trials <= 0";
-  let tree = Span_tree.of_graph graph ~root:0 in
-  let k = Graph.n graph in
-  (* Root cutoff: same calibration as the simultaneous majority tester —
-     the reject-count distribution of k iid midpoint votes under the
-     uniform null (the topology doesn't change the votes, only their
-     transport). *)
+(* Same calibration as the simultaneous majority tester — the
+   reject-count distribution of k iid midpoint votes under the uniform
+   null (the topology doesn't change the votes, only their transport). *)
+let null_reject_cutoff ~k ~n ~eps ~q ~calibration_trials ~rng =
   let calibration_rng = Dut_prng.Rng.split rng in
   let null_rejects r =
     let count = ref 0 in
@@ -36,9 +30,16 @@ let make ~graph ~n ~eps ~q ~calibration_trials ~rng =
     done;
     !count
   in
+  Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
+    calibration_rng ~rejects:null_rejects ~level:0.2
+
+let make ~graph ~n ~eps ~q ~calibration_trials ~rng =
+  if n <= 0 || q < 0 then invalid_arg "Local_tester.make: bad sizes";
+  if eps <= 0. || eps >= 1. then invalid_arg "Local_tester.make: eps out of (0,1)";
+  if calibration_trials <= 0 then invalid_arg "Local_tester.make: trials <= 0";
+  let tree = Span_tree.of_graph graph ~root:0 in
   let root_cutoff =
-    Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
-      calibration_rng ~rejects:null_rejects ~level:0.2
+    null_reject_cutoff ~k:(Graph.n graph) ~n ~eps ~q ~calibration_trials ~rng
   in
   { graph; tree; n; eps; q; root_cutoff }
 
@@ -124,8 +125,9 @@ let run t rng source =
           (state, outbox));
     }
   in
-  Sync_net.reset_counters ();
-  let states = Sync_net.run ~graph:t.graph ~rng ~rounds:(rounds + 1) ~logic in
+  let states, messages =
+    Sync_net.run ~graph:t.graph ~rng ~rounds:(rounds + 1) ~logic
+  in
   let root_verdict =
     match states.(tree.Span_tree.root).verdict with
     | Some v -> v
@@ -137,7 +139,7 @@ let run t rng source =
   {
     accept = root_verdict;
     rounds = rounds + 1;
-    messages = Sync_net.messages_sent ();
+    messages;
     max_message_bits = !max_bits;
     local_time = t.q + rounds + 1;
     all_agree;

@@ -32,6 +32,19 @@ val make :
     @raise Invalid_argument on a disconnected graph, bad sizes, or eps
     outside (0,1). *)
 
+val null_reject_cutoff :
+  k:int ->
+  n:int ->
+  eps:float ->
+  q:int ->
+  calibration_trials:int ->
+  rng:Dut_prng.Rng.t ->
+  int
+(** The root's reject-count cutoff: the empirical false-alarm-0.2
+    quantile of the number of rejecting midpoint votes among [k] nodes
+    with [q] uniform samples each, over [calibration_trials] rounds on
+    one split of [rng]. Shared with {!Gossip.decentralized_tester}. *)
+
 type result = {
   accept : bool;  (** the verdict every node ends up holding *)
   rounds : int;  (** communication rounds executed (2·height) *)

@@ -118,26 +118,44 @@ let brute_statistic g samples =
     0 (Cg.edges g)
 
 let families_for_q q =
-  [
-    Cg.Clique;
-    Cg.Matching;
-    Cg.Bipartite;
-    Cg.Explicit [| (0, 1) |];
-  ]
+  [ Cg.Clique; Cg.Matching; Cg.Bipartite ]
+  @ (if q >= 2 then [ Cg.Explicit [| (0, 1) |] ] else [])
   @ if q >= 5 && q mod 2 = 0 then [ Cg.Random_regular { degree = 4; seed = 1 } ] else []
 
+(* Two universes: n = 32 takes the scratch-histogram kernels, n = 2^17
+   (above their limit) the sort-based fallbacks. Samples use 32 values
+   spread over the universe so both see collisions. *)
 let prop_statistic_matches_brute_force =
   QCheck.Test.make ~name:"graph statistic = explicit edge walk" ~count:200
-    QCheck.(pair (int_range 2 24) small_int)
+    QCheck.(pair (int_range 0 24) small_int)
     (fun (q, seed) ->
-      let rng = Dut_prng.Rng.create seed in
-      let n = 32 in
-      let samples = Array.init q (fun _ -> Dut_prng.Rng.int rng n) in
       List.for_all
-        (fun family ->
-          let g = Cg.build ~q family in
-          Cg.statistic ~n g samples = brute_statistic g samples)
-        (families_for_q q))
+        (fun n ->
+          let rng = Dut_prng.Rng.create seed in
+          let samples =
+            Array.init q (fun _ -> Dut_prng.Rng.int rng 32 * (n / 32))
+          in
+          List.for_all
+            (fun family ->
+              let g = Cg.build ~q family in
+              Cg.statistic ~n g samples = brute_statistic g samples)
+            (families_for_q q))
+        [ 32; 1 lsl 17 ])
+
+(* The bipartite edge list is materialized on demand from the closed
+   form; pin it to the definition, written out independently. *)
+let test_bipartite_edges_definitional () =
+  List.iter
+    (fun q ->
+      let a = q / 2 in
+      let expected =
+        List.concat
+          (List.init a (fun u -> List.init (q - a) (fun i -> (u, a + i))))
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "q=%d" q) expected
+        (Array.to_list (Cg.edges (Cg.build ~q Cg.Bipartite))))
+    [ 0; 1; 2; 7; 10 ]
 
 let test_statistic_length_check () =
   let g = Cg.build ~q:4 Cg.Matching in
@@ -471,6 +489,8 @@ let () =
       ( "statistic",
         [
           qcheck prop_statistic_matches_brute_force;
+          Alcotest.test_case "bipartite edges = definition" `Quick
+            test_bipartite_edges_definitional;
           Alcotest.test_case "length check" `Quick test_statistic_length_check;
         ] );
       ( "cutoffs",

@@ -110,7 +110,7 @@ let test_flood_broadcast () =
           else (false, []));
     }
   in
-  let states = Sync_net.run ~graph:g ~rng ~rounds:6 ~logic in
+  let states, _ = Sync_net.run ~graph:g ~rng ~rounds:6 ~logic in
   Alcotest.(check bool) "all reached" true (Array.for_all Fun.id states)
 
 let test_rounds_limit_propagation () =
@@ -127,7 +127,7 @@ let test_rounds_limit_propagation () =
           else (false, []));
     }
   in
-  let states = Sync_net.run ~graph:g ~rng ~rounds:3 ~logic in
+  let states, _ = Sync_net.run ~graph:g ~rng ~rounds:3 ~logic in
   Alcotest.(check bool) "node 5 not reached in 3 rounds" false states.(5)
 
 let test_non_neighbor_rejected () =
@@ -154,10 +154,9 @@ let test_message_counter () =
           ((), List.map (fun v -> (v, ())) (Graph.neighbors g node)));
     }
   in
-  Sync_net.reset_counters ();
-  ignore (Sync_net.run ~graph:g ~rng ~rounds:2 ~logic);
+  let _, messages = Sync_net.run ~graph:g ~rng ~rounds:2 ~logic in
   (* 4 nodes x 3 neighbors x 2 rounds. *)
-  Alcotest.(check int) "messages" 24 (Sync_net.messages_sent ())
+  Alcotest.(check int) "messages" 24 messages
 
 let test_deterministic_execution () =
   let g = Graph.cycle 5 in
@@ -171,7 +170,7 @@ let test_deterministic_execution () =
             (state + List.fold_left ( + ) (Dut_prng.Rng.int coins 10) inbox, []));
       }
     in
-    Sync_net.run ~graph:g ~rng ~rounds:3 ~logic
+    fst (Sync_net.run ~graph:g ~rng ~rounds:3 ~logic)
   in
   Alcotest.(check (array int)) "same seed, same states" (run 5) (run 5)
 
@@ -225,6 +224,44 @@ let test_local_tester_single_node () =
   let r = Local_tester.run t rng (Dut_protocol.Network.uniform_source ~n) in
   Alcotest.(check int) "no messages" 0 r.messages;
   Alcotest.(check bool) "decides" true r.all_agree
+
+let test_local_tester_concurrent_message_counts () =
+  (* Each execution counts only its own messages, even while another
+     domain runs the simulator at the same time: every run on the
+     16-clique's star tree sends 2(k-1) = 30 messages. *)
+  let n = 64 in
+  let make graph seed =
+    Local_tester.make ~graph ~n ~eps:0.3 ~q:64 ~calibration_trials:20
+      ~rng:(Dut_prng.Rng.create seed)
+  in
+  let t = make (Graph.complete 16) 208 and other = make (Graph.grid 6 6) 209 in
+  let source = Dut_protocol.Network.uniform_source ~n in
+  let stop = Atomic.make false and started = Atomic.make false in
+  let background =
+    Domain.spawn (fun () ->
+        let rng = Dut_prng.Rng.create 210 in
+        while not (Atomic.get stop) do
+          ignore (Local_tester.run other rng source);
+          Atomic.set started true
+        done)
+  in
+  let wrong =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join background)
+      (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        let rng = Dut_prng.Rng.create 211 in
+        let wrong = ref 0 in
+        for _ = 1 to 2000 do
+          if (Local_tester.run t rng source).messages <> 30 then incr wrong
+        done;
+        !wrong)
+  in
+  Alcotest.(check int) "runs with a wrong message count" 0 wrong
 
 let test_local_tester_errors () =
   let rng = Dut_prng.Rng.create 207 in
@@ -362,6 +399,8 @@ let () =
         [
           Alcotest.test_case "power and costs" `Slow test_local_tester_power_and_costs;
           Alcotest.test_case "single node" `Quick test_local_tester_single_node;
+          Alcotest.test_case "message counts under concurrency" `Quick
+            test_local_tester_concurrent_message_counts;
           Alcotest.test_case "errors" `Quick test_local_tester_errors;
         ] );
       ( "gossip",
