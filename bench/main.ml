@@ -192,38 +192,30 @@ let instrumented run =
     counters;
   }
 
-(* "before" reproduces the hot path of the previous revision: fixed
-   trial budgets, cold searches, and — via [Scratch.set_reuse false] —
-   the legacy allocating kernels (per-player sample tuples, sort-based
-   collision counts, fresh hard instances, the tuple-message
-   single-sample referee). "after" is the current default. *)
-let bench_config ~quick ~hotpath =
+(* "before" is the fixed-budget reproduction mode (`--no-adaptive
+   --cold-search`): fixed trial budgets and cold critical searches, on
+   the same kernels as "after". "after" is the current default,
+   adaptive stopping plus warm-started searches. *)
+let bench_config ~quick ~after =
   (* 60, not lower: very noisy probes make the cold critical searches in
      the "before" leg wander far past the true threshold, which costs
      more wall-clock than the smaller per-probe budget saves. *)
   let trials = if quick then Some 60 else None in
-  Dut_experiments.Config.make ?trials ~adaptive:hotpath ~warm_start:hotpath
+  Dut_experiments.Config.make ?trials ~adaptive:after ~warm_start:after
     Dut_experiments.Config.Fast
 
-let with_kernels ~hotpath f =
-  Dut_engine.Scratch.set_reuse hotpath;
-  Fun.protect ~finally:(fun () -> Dut_engine.Scratch.set_reuse true) f
-
-let run_experiment ~hotpath cfg exp =
+let run_experiment cfg exp =
   Dut_engine.Parallel.set_default_jobs cfg.Dut_experiments.Config.jobs;
-  with_kernels ~hotpath (fun () ->
-      instrumented (fun () -> exp.Dut_experiments.Exp.run cfg))
+  instrumented (fun () -> exp.Dut_experiments.Exp.run cfg)
 
-let run_all ~hotpath cfg =
+let run_all cfg =
   Dut_engine.Parallel.set_default_jobs cfg.Dut_experiments.Config.jobs;
   let devnull = open_out Filename.null in
   Fun.protect
     ~finally:(fun () -> close_out devnull)
     (fun () ->
-      with_kernels ~hotpath (fun () ->
-          instrumented (fun () ->
-              Dut_experiments.Runner.run_all_to_channel ~timings:false cfg
-                devnull)))
+      instrumented (fun () ->
+          Dut_experiments.Runner.run_all_to_channel ~timings:false cfg devnull))
 
 let engine_json_path = Filename.concat "results" "bench_engine.json"
 
@@ -278,8 +270,8 @@ let write_engine_json ~quick ~jobs ~all_before ~all_after rows =
   close_out oc
 
 let bench_engine ~quick () =
-  let cfg_before = bench_config ~quick ~hotpath:false in
-  let cfg_after = bench_config ~quick ~hotpath:true in
+  let cfg_before = bench_config ~quick ~after:false in
+  let cfg_after = bench_config ~quick ~after:true in
   Printf.printf
     "== engine: fixed-budget/cold-search vs adaptive/warm-start wall-clock \
      (fast profile%s, jobs=%d, %d cores) ==\n\
@@ -293,8 +285,8 @@ let bench_engine ~quick () =
         match Dut_experiments.Registry.find id with
         | None -> failwith ("bench_engine: unknown experiment " ^ id)
         | Some exp ->
-            let before = run_experiment ~hotpath:false cfg_before exp in
-            let after = run_experiment ~hotpath:true cfg_after exp in
+            let before = run_experiment cfg_before exp in
+            let after = run_experiment cfg_after exp in
             Printf.printf
               "%-18s before %7.2fs (%7d trials, %9.0f w/trial)   after %7.2fs \
                (%7d trials, %9.0f w/trial)   speedup %5.2fx\n\
@@ -305,8 +297,8 @@ let bench_engine ~quick () =
             (id, before, after))
       engine_bench_ids
   in
-  let all_before = run_all ~hotpath:false cfg_before in
-  let all_after = run_all ~hotpath:true cfg_after in
+  let all_before = run_all cfg_before in
+  let all_after = run_all cfg_after in
   Printf.printf "%-18s before %7.2fs   after %7.2fs   speedup %5.2fx\n%!"
     "run-all" all_before.seconds all_after.seconds
     (all_before.seconds /. all_after.seconds);
@@ -431,9 +423,10 @@ let bench_stream ~quick () =
 (* Isolated rows for the three kernels the engine overhaul rewrote —
    the WHT, the alias block draw, and the counting referee — each
    timed against the code shape it replaced, with the replaced shape
-   reconstructed here (or reached through [Scratch.set_reuse false])
-   so the comparison survives in one binary. Every row asserts the two
-   legs produce identical values before it is trusted with a clock. *)
+   reconstructed here (or, for the referee, the vote-vector round that
+   stays the general-rule path) so the comparison survives in one
+   binary. Every row asserts the two legs produce identical values
+   before it is trusted with a clock. *)
 
 let kernels_json_path = Filename.concat "results" "bench_kernels.json"
 
@@ -508,8 +501,8 @@ let bench_kernel_rows ~quick () =
   Dut_dist.Sampler.draw_block sampler r2 draw_buf;
   if scalar_draws <> draw_buf then
     failwith "bench kernels: draw_block differs from scalar draws";
-  (* Referee: the transcript-materialising legacy round (scratch off)
-     vs the counting [round_accept] (scratch on), same player logic. *)
+  (* Referee: the vote-vector [round] (materialises the transcript)
+     vs the counting [round_accept], same player logic. *)
   let hard = Dut_dist.Paninski.random ~ell:7 ~eps:0.3 rng in
   let source = Dut_protocol.Network.of_paninski hard in
   let k = 64 and q = 64 in
@@ -519,17 +512,16 @@ let bench_kernel_rows ~quick () =
     2 * !ones <= Array.length samples
   in
   let rule = Dut_protocol.Rule.Majority in
-  let verdict ~hotpath seed =
-    with_kernels ~hotpath (fun () ->
-        let rng = Dut_prng.Rng.create seed in
-        if hotpath then
-          Dut_protocol.Network.round_accept ~rng ~source ~k ~q ~player ~rule
-        else
-          (Dut_protocol.Network.round ~rng ~source ~k ~q ~player ~rule).accept)
-  in
   for seed = 100 to 120 do
-    if verdict ~hotpath:false seed <> verdict ~hotpath:true seed then
-      failwith "bench kernels: round_accept differs from round"
+    let rng () = Dut_prng.Rng.create seed in
+    let t =
+      Dut_protocol.Network.round ~rng:(rng ()) ~source ~k ~q ~player ~rule
+    in
+    if
+      t.accept
+      <> Dut_protocol.Network.round_accept ~rng:(rng ()) ~source ~k ~q
+           ~player ~rule
+    then failwith "bench kernels: round_accept differs from round"
   done;
   let wht_reps = if quick then 20 else 100 in
   let draw_reps = if quick then 400 else 4000 in
@@ -555,10 +547,9 @@ let bench_kernel_rows ~quick () =
       (Printf.sprintf "referee-count-k%d-q%d" k q)
       round_reps
       ~before:(fun () ->
-        with_kernels ~hotpath:false (fun () ->
-            ignore
-              (Dut_protocol.Network.round ~rng:(Dut_prng.Rng.split round_rng)
-                 ~source ~k ~q ~player ~rule)))
+        ignore
+          (Dut_protocol.Network.round ~rng:(Dut_prng.Rng.split round_rng)
+             ~source ~k ~q ~player ~rule))
       ~after:(fun () ->
         ignore
           (Dut_protocol.Network.round_accept ~rng:(Dut_prng.Rng.split round_rng)
@@ -1108,16 +1099,24 @@ let check_service_json () =
 (* One row appended per `--quick` bench run: the longitudinal record
    `dut obs-report --regressions` reads. Only quick runs append — the
    full-budget legs time a different workload, so their wall-clocks
-   would not be comparable rows. Fields whose source json is absent
-   (e.g. a `--stream`-only run has no engine numbers) are null, and the
-   regression report skips them. *)
+   would not be comparable rows. A row carries only the benches that
+   ran in this invocation: every other field is null (a `--stream`-only
+   run has no engine numbers), never a stale figure read back from a
+   json an earlier run left on disk, and the regression report skips
+   nulls. [git] is described at process start, before the bench
+   rewrites the tracked results/*.json and would make it read dirty. *)
 let history_json_path = Filename.concat "results" "bench_history.jsonl"
 let history_schema = "dut-bench-history/1"
 
-let append_history () =
-  let engine = read_json_opt engine_json_path in
-  let stream = read_json_opt stream_json_path in
-  let service = read_json_opt service_json_path in
+type bench = Engine | Stream | Service
+
+let append_history ~git ~ran =
+  let read bench path =
+    if List.mem bench ran then read_json_opt path else None
+  in
+  let engine = read Engine engine_json_path in
+  let stream = read Stream stream_json_path in
+  let service = read Service service_json_path in
   let num_field j obj f =
     match Option.bind j (fun j -> field_opt j obj) with
     | Some o -> ( try Some (want_num o f) with Malformed _ -> None)
@@ -1173,7 +1172,7 @@ let append_history () =
     Dut_obs.Json.Obj
       [
         ("schema", Dut_obs.Json.Str history_schema);
-        ("git", Dut_obs.Json.Str (Dut_obs.Manifest.git_describe ()));
+        ("git", Dut_obs.Json.Str git);
         ("unix_time", Dut_obs.Json.Num (Float.round (Unix.time ())));
         ("jobs", Dut_obs.Json.Num jobs);
         ("run_all_wall_s", opt (num_field engine "run_all" "after_seconds"));
@@ -1305,6 +1304,7 @@ let gate_alloc () =
   with Malformed msg -> fail msg
 
 let () =
+  let git = Dut_obs.Manifest.git_describe () in
   let has flag = Array.exists (( = ) flag) Sys.argv in
   let value_after flag =
     let r = ref None in
@@ -1325,11 +1325,11 @@ let () =
     (* Own branch, never part of the full run: the fleet is forked, so
        this must happen before any Parallel.map creates pool domains. *)
     bench_service ~quick:(has "--quick") ();
-    if has "--quick" then append_history ()
+    if has "--quick" then append_history ~git ~ran:[ Service ]
   end
   else if has "--stream" then begin
     bench_stream ~quick:(has "--quick") ();
-    if has "--quick" then append_history ()
+    if has "--quick" then append_history ~git ~ran:[ Stream ]
   end
   else begin
     Dut_obs.Span.set_sink (value_after "--trace");
@@ -1341,7 +1341,7 @@ let () =
     bench_engine ~quick:(has "--quick") ();
     bench_kernels_io ~quick:(has "--quick") ();
     bench_stream ~quick:(has "--quick") ();
-    if has "--quick" then append_history ();
+    if has "--quick" then append_history ~git ~ran:[ Engine; Stream ];
     if has "--metrics" then Dut_obs.Metrics.dump stderr;
     Dut_obs.Span.set_sink None
   end

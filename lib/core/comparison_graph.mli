@@ -12,7 +12,7 @@
     Determinism and bit-compatibility:
     - The clique's statistic routes through
       {!Local_stat.collisions_bounded} (scratch-histogram counting sort
-      under the [Scratch.set_reuse] gate), and its float edge/triangle
+      for n ≤ 2^16, sorting beyond), and its float edge/triangle
       counts use the same expressions as {!Local_stat}'s clique
       wrappers, so clique-graph verdicts are bit-identical to the
       hand-written testers' by construction.

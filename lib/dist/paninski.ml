@@ -45,8 +45,6 @@ let scratch_z = Domain.DLS.new_key (fun () -> Array.make 21 [||])
 let random_scratch ~ell ~eps rng =
   if ell < 0 || ell > 20 then invalid_arg "Paninski.random_scratch: ell out of [0,20]";
   if eps < 0. || eps >= 1. then invalid_arg "Paninski.random_scratch: eps out of [0,1)";
-  if not (Dut_engine.Scratch.reuse_enabled ()) then random ~ell ~eps rng
-  else
   let m = 1 lsl ell in
   let slots = Domain.DLS.get scratch_z in
   let z =

@@ -167,11 +167,7 @@ let init_reduce ?jobs ~rng ~n ~f ~init ~reduce =
 
 let count ?jobs ~rng ~n pred =
   let resolved = resolve_jobs jobs in
-  if
-    n >= 0
-    && (resolved <= 1 || n <= 1 || Pool.in_task ())
-    && Scratch.reuse_enabled ()
-  then begin
+  if n >= 0 && (resolved <= 1 || n <= 1 || Pool.in_task ()) then begin
     (* The Monte-Carlo trial loop. Same child streams as the [init]
        path — one split per element, in index order — but re-seeded
        into a single borrowed scratch source instead of materialising n

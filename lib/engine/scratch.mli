@@ -19,21 +19,6 @@
     it is simply collected — but it leaves the free list without that
     entry. *)
 
-val set_reuse : bool -> unit
-(** Switch the scratch hot paths on or off process-wide (default: on).
-    With reuse off, {!borrow} hands out a fresh zeroed array on every
-    call, {!release} drops its argument, and every gated kernel — the
-    network round sample buffers, the counting-sort collision statistic,
-    the hard-instance scratch draws, the single-sample referee — falls
-    back to the legacy allocating code it replaced. Every computed value
-    is identical either way; the switch exists so the engine benchmark
-    can measure the pre-overhaul allocating kernels as its "before" leg
-    in the same binary. *)
-
-val reuse_enabled : unit -> bool
-(** Current {!set_reuse} setting. Gated kernels consult it at most once
-    per round or trial. *)
-
 val borrow : len:int -> int array
 (** [borrow ~len] returns an exact-length scratch buffer for this
     domain, reusing a previously released one when available. Contents

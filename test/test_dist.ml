@@ -361,6 +361,78 @@ let prop_claim31 =
         (Paninski.tuple_prob d tuple -. Paninski.tuple_prob_fourier d tuple)
       < 1e-12)
 
+(* -- Goodness of fit of the block samplers ------------------------------ *)
+
+(* Pearson chi-square of observed cell counts against an exact pmf, with
+   the upper-tail p-value from the Wilson-Hilferty cube-root normal
+   approximation (accurate to a few percent in relative terms at the
+   hundreds of degrees of freedom used here). *)
+let chi2_p_value counts probs =
+  let total = float_of_int (Array.fold_left ( + ) 0 counts) in
+  let stat = ref 0. in
+  Array.iteri
+    (fun i c ->
+      let e = total *. probs.(i) in
+      let d = float_of_int c -. e in
+      stat := !stat +. (d *. d /. e))
+    counts;
+  let dof = float_of_int (Array.length counts - 1) in
+  let v = 2. /. (9. *. dof) in
+  let z = (Float.cbrt (!stat /. dof) -. (1. -. v)) /. sqrt v in
+  Dut_stats.Tail.normal_sf z
+
+let p_floor = 1e-6
+
+let counts_of ~cells buf =
+  let counts = Array.make cells 0 in
+  Array.iter (fun x -> counts.(x) <- counts.(x) + 1) buf;
+  counts
+
+(* The negative control: 1% of the mass moved onto the least likely
+   cell. Its noncentrality at these draw counts is in the thousands, so
+   a test that cannot reject it has no power. *)
+let shifted probs =
+  let j = ref 0 in
+  Array.iteri (fun i p -> if p < probs.(!j) then j := i) probs;
+  Array.mapi
+    (fun i p -> (0.99 *. p) +. if i = !j then 0.01 else 0.)
+    probs
+
+let check_fit name ~draws probs draw_block =
+  let cells = Array.length probs in
+  let min_expected =
+    float_of_int draws *. Array.fold_left Float.min 1. probs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: >= 50 expected draws per cell (%.1f)" name
+       min_expected)
+    true (min_expected >= 50.);
+  let buf = Array.make draws 0 in
+  draw_block buf;
+  let counts = counts_of ~cells buf in
+  let p = chi2_p_value counts probs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: chi-square p = %.3g >= %g" name p p_floor)
+    true (p >= p_floor);
+  let p_shifted = chi2_p_value counts (shifted probs) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: shifted pmf rejected (p = %.3g < %g)" name p_shifted
+       p_floor)
+    true (p_shifted < p_floor)
+
+let test_sampler_block_fit () =
+  let pmf = Families.zipf ~n:256 ~s:1. in
+  let s = Sampler.of_pmf pmf in
+  check_fit "zipf-256" ~draws:(1 lsl 17) (Pmf.to_array pmf)
+    (Sampler.draw_block s (Dut_prng.Rng.create 4242))
+
+let test_paninski_block_fit () =
+  let rng = Dut_prng.Rng.create 4243 in
+  let hard = Paninski.random_scratch ~ell:7 ~eps:0.5 rng in
+  check_fit "paninski-ell7" ~draws:(1 lsl 16)
+    (Pmf.to_array (Paninski.pmf hard))
+    (Paninski.draw_block hard rng)
+
 let () =
   Alcotest.run "dut_dist"
     [
@@ -420,6 +492,13 @@ let () =
           Alcotest.test_case "Claim 3.1 exhaustive" `Quick test_paninski_claim31_exhaustive;
           Alcotest.test_case "collision prob" `Quick test_paninski_collision_prob;
           Alcotest.test_case "create errors" `Quick test_paninski_create_errors;
+        ] );
+      ( "goodness of fit",
+        [
+          Alcotest.test_case "Sampler.draw_block chi-square" `Quick
+            test_sampler_block_fit;
+          Alcotest.test_case "Paninski.draw_block chi-square" `Quick
+            test_paninski_block_fit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -2,13 +2,29 @@
    per-domain scratch arenas, and warm-started critical search.
 
    Two families of guarantees are exercised:
-   - equivalence: the scratch-arena kernels reproduce the historical
-     allocating paths bit for bit, and the seeded search returns the
-     same answer as the cold one for every monotone predicate;
+   - equivalence: each scratch-arena kernel reproduces its allocating
+     oracle (Legacy_kernels, or a named library function) bit for bit —
+     the result AND the generator state after the call, so the kernel
+     equalities compose into equality of whole evaluations — and the
+     seeded search returns the same answer as the cold one for every
+     monotone predicate;
    - jobs-invariance: the adaptive estimator's estimate AND spend are
      identical for every jobs count. *)
 
 let rng seed = Dut_prng.Rng.create seed
+
+(* Where a generator stands: its next output and the first output of
+   its next child, so both the draw stream and the splitter are pinned
+   (most round kernels only split their root). Reading it advances the
+   generator, so read each one once. *)
+let state r =
+  (Dut_prng.Rng.bits64 r, Dut_prng.Rng.bits64 (Dut_prng.Rng.split r))
+
+(* A kernel and its oracle, run from equal seeds, must leave their
+   generators at the same point: same draws, same splits. *)
+let check_same_state msg a b =
+  Alcotest.(check (pair int64 int64)) (msg ^ " generator state") (state a)
+    (state b)
 
 (* -- Adaptive stopping --------------------------------------------------- *)
 
@@ -86,11 +102,13 @@ let test_adaptive_jobs_invariant () =
 let test_random_scratch_equals_random () =
   List.iter
     (fun (ell, eps, seed) ->
-      let a = Dut_dist.Paninski.random ~ell ~eps (rng seed) in
-      let b = Dut_dist.Paninski.random_scratch ~ell ~eps (rng seed) in
+      let ra = rng seed and rb = rng seed in
+      let a = Dut_dist.Paninski.random ~ell ~eps ra in
+      let b = Dut_dist.Paninski.random_scratch ~ell ~eps rb in
+      let msg = Printf.sprintf "ell=%d seed=%d" ell seed in
       Alcotest.(check (array int))
-        (Printf.sprintf "z (ell=%d seed=%d)" ell seed)
-        (Dut_dist.Paninski.z a) (Dut_dist.Paninski.z b))
+        ("z " ^ msg) (Dut_dist.Paninski.z a) (Dut_dist.Paninski.z b);
+      check_same_state msg ra rb)
     [ (2, 0.3, 0); (5, 0.25, 1); (7, 0.3, 2); (7, 0.5, 3); (9, 0.25, 4) ]
 
 let test_draw_many_into_equals_draw_many () =
@@ -105,100 +123,166 @@ let test_draw_many_into_equals_draw_many () =
   Dut_dist.Sampler.draw_many_into sampler (rng 11) buf;
   Alcotest.(check (array int)) "sampler draws" expected buf
 
-(* The seed repo's round: fresh sample tuples from Array.init. The
-   scratch-buffer round must reproduce votes and verdict exactly. *)
-let legacy_round ~rng ~source ~k ~q ~player ~rule =
-  let votes =
-    Array.init k (fun i ->
-        let coins = Dut_prng.Rng.split rng in
-        let samples = Array.init q (fun _ -> source coins) in
-        player ~index:i coins samples)
-  in
-  (votes, Dut_protocol.Rule.apply rule votes)
+(* What a player or messenger saw: its index, its whole sample tuple
+   and one draw from its private coins. Comparing these, not only the
+   votes, pins every draw a round kernel hands out — a kernel that
+   drew one sample too many, or split a child too few, shows up even
+   where the bool it produced happens to agree. *)
+type seen = int * int list * int
+
+let seen_t = Alcotest.(list (triple int (list int) int))
+
+let observe ~index coins samples : seen =
+  (index, Array.to_list samples, Dut_prng.Rng.int coins 1000)
+
+(* A collision-count player whose observations land in [log]. *)
+let recording_player log ~index coins samples =
+  let ((_, _, coin) as o) = observe ~index coins samples in
+  log := o :: !log;
+  Dut_core.Local_stat.collisions samples + (coin mod 2) < 4 + (index mod 2)
 
 let test_round_equals_legacy_allocating_round () =
-  let n = 256 in
-  let player ~index _coins samples =
-    Dut_core.Local_stat.collisions samples < 3 + (index mod 2)
-  in
+  let n = 256 and k = 16 and q = 40 in
+  let source = Dut_protocol.Network.uniform_source ~n in
   List.iter
     (fun (seed, rule) ->
+      let msg = Printf.sprintf "seed %d" seed in
+      let r_legacy = rng seed and r_rates = rng seed and r = rng seed in
+      let l_legacy = ref [] and l_rates = ref [] and l = ref [] in
       let expected_votes, expected_accept =
-        legacy_round ~rng:(rng seed)
-          ~source:(Dut_protocol.Network.uniform_source ~n)
-          ~k:16 ~q:40 ~player ~rule
+        Legacy_kernels.round ~rng:r_legacy ~source ~k ~q
+          ~player:(recording_player l_legacy) ~rule
+      in
+      let rates =
+        Dut_protocol.Network.round_rates ~rng:r_rates ~source
+          ~qs:(Array.make k q) ~player:(recording_player l_rates) ~rule
       in
       let t =
-        Dut_protocol.Network.round ~rng:(rng seed)
-          ~source:(Dut_protocol.Network.uniform_source ~n)
-          ~k:16 ~q:40 ~player ~rule
+        Dut_protocol.Network.round ~rng:r ~source ~k ~q
+          ~player:(recording_player l) ~rule
       in
-      Alcotest.(check (array bool)) "votes" expected_votes t.votes;
-      Alcotest.(check bool) "accept" expected_accept t.accept)
+      Alcotest.(check (array bool)) (msg ^ " votes") expected_votes t.votes;
+      Alcotest.(check bool) (msg ^ " accept") expected_accept t.accept;
+      Alcotest.check seen_t (msg ^ " legacy draws") !l_legacy !l;
+      Alcotest.(check (array bool)) (msg ^ " round_rates votes") rates.votes
+        t.votes;
+      Alcotest.check seen_t (msg ^ " round_rates draws") !l_rates !l;
+      let after = state r in
+      Alcotest.(check (pair int64 int64)) (msg ^ " legacy generator state")
+        (state r_legacy) after;
+      Alcotest.(check (pair int64 int64)) (msg ^ " round_rates generator state")
+        (state r_rates) after)
     [
       (0, Dut_protocol.Rule.And);
       (1, Dut_protocol.Rule.Majority);
       (2, Dut_protocol.Rule.Reject_threshold 4);
     ]
 
-(* Flipping Scratch reuse off routes every gated kernel (round sample
-   buffers, counting-sort collisions, scratch hard instances, the
-   counting referee, the single-sample referee) to its legacy
-   allocating body. Both paths consume the same draws, so full
-   evaluations must agree bit for bit — this is what lets the engine
-   bench measure an honest "before" leg. Every refereed tester shape
-   is covered. *)
-let with_reuse b f =
-  Dut_engine.Scratch.set_reuse b;
-  Fun.protect ~finally:(fun () -> Dut_engine.Scratch.set_reuse true) f
-
+(* The message kernels and the single-sample referee against the
+   allocating bodies they replaced (test/legacy_kernels.ml). *)
 let test_legacy_kernels_equal_scratch_kernels () =
-  let check_tester name tester =
-    let measure () =
-      Dut_core.Evaluate.measure ~trials:40 ~rng:(rng 21) ~ell:6 ~eps:0.3 tester
+  let n = 256 and k = 13 and q = 9 in
+  let source = Dut_protocol.Network.uniform_source ~n in
+  for seed = 0 to 9 do
+    let msg name = Printf.sprintf "%s seed %d" name seed in
+    let collect got messages =
+      got := Array.to_list messages;
+      true
     in
-    let scratch = with_reuse true measure in
-    let legacy = with_reuse false measure in
-    Alcotest.(check (float 0.))
-      (name ^ " uniform") scratch.uniform_accept.estimate
-      legacy.uniform_accept.estimate;
-    Alcotest.(check (float 0.))
-      (name ^ " far") scratch.far_reject.estimate legacy.far_reject.estimate
+    let ra = rng seed and rb = rng seed in
+    let expected = ref [] and got = ref [] in
+    ignore
+      (Legacy_kernels.round_messages ~rng:ra ~source ~k ~q ~messenger:observe
+         ~referee:(collect expected));
+    ignore
+      (Dut_protocol.Network.round_messages ~rng:rb ~source ~k ~q
+         ~messenger:observe ~referee:(collect got));
+    Alcotest.check seen_t (msg "round_messages") !expected !got;
+    check_same_state (msg "round_messages") ra rb;
+    let ra = rng seed and rb = rng seed in
+    let cons acc m = m :: acc in
+    let expected =
+      Legacy_kernels.round_fold ~rng:ra ~source ~k ~q ~messenger:observe
+        ~init:[] ~f:cons
+    in
+    let got =
+      Dut_protocol.Network.round_fold ~rng:rb ~source ~k ~q ~messenger:observe
+        ~init:[] ~f:cons
+    in
+    Alcotest.check seen_t (msg "round_fold") expected got;
+    check_same_state (msg "round_fold") ra rb
+  done;
+  (* k = 300 players in 8 groups: four of 38 and four of 37. *)
+  let n = 128 and eps = 0.3 and k = 300 and bits = 3 in
+  let accepts = Dut_core.Single_sample.(accepts (make ~n ~eps ~k ~bits)) in
+  let far =
+    Dut_protocol.Network.of_paninski
+      (Dut_dist.Paninski.random ~ell:6 ~eps (rng 77))
   in
-  check_tester "and" (Dut_core.And_tester.tester ~n:128 ~eps:0.3 ~k:8 ~q:48);
-  check_tester "single-sample"
-    (Dut_core.Single_sample.tester ~n:128 ~eps:0.3 ~k:300 ~bits:3);
-  check_tester "threshold-majority"
-    (Dut_core.Threshold_tester.tester_majority ~n:128 ~eps:0.3 ~k:8 ~q:48
-       ~calibration_trials:30 ~rng:(rng 51));
-  check_tester "threshold-fixed"
-    (Dut_core.Threshold_tester.tester_fixed ~n:128 ~eps:0.3 ~k:8 ~q:64 ~t:2)
+  List.iteri
+    (fun i source ->
+      for seed = 0 to 19 do
+        let msg = Printf.sprintf "single-sample source %d seed %d" i seed in
+        let ra = rng seed and rb = rng seed in
+        let expected =
+          Legacy_kernels.single_sample_accepts ~n ~eps ~k ~bits ra source
+        in
+        Alcotest.(check bool) msg expected (accepts rb source);
+        check_same_state msg ra rb
+      done)
+    [ Dut_protocol.Network.uniform_source ~n; far ]
+
+let prop_single_sample_equals_legacy =
+  (* Every group split, including k mod groups <> 0, so the arithmetic
+     group_of is pinned against the contiguous-run assignment table. *)
+  QCheck.Test.make ~name:"Single_sample.accepts = legacy referee" ~count:300
+    QCheck.(
+      quad small_int (int_range 1 6) (int_range 1 6) (int_range 2 64))
+    (fun (seed, ell, bits_raw, k) ->
+      let bits = 1 + ((bits_raw - 1) mod ell) in
+      let n = 1 lsl (ell + 1) and eps = 0.4 in
+      let accepts = Dut_core.Single_sample.(accepts (make ~n ~eps ~k ~bits)) in
+      let sources =
+        [
+          Dut_protocol.Network.uniform_source ~n;
+          Dut_protocol.Network.of_paninski
+            (Dut_dist.Paninski.random ~ell ~eps (rng (seed + 1000)));
+        ]
+      in
+      List.for_all
+        (fun source ->
+          let ra = rng seed and rb = rng seed in
+          let expected =
+            Legacy_kernels.single_sample_accepts ~n ~eps ~k ~bits ra source
+          in
+          expected = accepts rb source && state ra = state rb)
+        sources)
 
 (* -- Counting referee ---------------------------------------------------- *)
 
 let test_round_accept_equals_round () =
   let n = 256 in
   let source = Dut_protocol.Network.uniform_source ~n in
-  let player ~index _coins samples =
-    Dut_core.Local_stat.collisions samples < 3 + (index mod 2)
-  in
   let parity votes =
     Array.fold_left (fun acc v -> acc + Bool.to_int v) 0 votes mod 2 = 0
   in
   List.iter
     (fun rule ->
       for seed = 0 to 9 do
+        let msg = Printf.sprintf "%s seed %d" (Dut_protocol.Rule.name rule) seed in
+        let ra = rng seed and rb = rng seed in
+        let la = ref [] and lb = ref [] in
         let t =
-          Dut_protocol.Network.round ~rng:(rng seed) ~source ~k:16 ~q:40
-            ~player ~rule
+          Dut_protocol.Network.round ~rng:ra ~source ~k:16 ~q:40
+            ~player:(recording_player la) ~rule
         in
         let accept =
-          Dut_protocol.Network.round_accept ~rng:(rng seed) ~source ~k:16 ~q:40
-            ~player ~rule
+          Dut_protocol.Network.round_accept ~rng:rb ~source ~k:16 ~q:40
+            ~player:(recording_player lb) ~rule
         in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s seed %d" (Dut_protocol.Rule.name rule) seed)
-          t.accept accept
+        Alcotest.(check bool) msg t.accept accept;
+        Alcotest.check seen_t (msg ^ " draws") !la !lb;
+        check_same_state msg ra rb
       done)
     [
       Dut_protocol.Rule.And; Dut_protocol.Rule.Or; Dut_protocol.Rule.Majority;
@@ -273,19 +357,23 @@ let prop_paninski_draw_block_equals_scalar =
       buf = Array.init 257 (fun _ -> Dut_dist.Paninski.draw hard b)
       && Dut_prng.Rng.bits64 a = Dut_prng.Rng.bits64 b)
 
-let test_parallel_count_reuse_invariant () =
+let test_parallel_count_equals_init_fold () =
   (* The sequential scratch path of Parallel.count (borrowed child,
-     split_into per index) must count exactly what the legacy split-per
-     -index path counts. *)
+     split_into per index) must count exactly what a fold over the
+     pre-split Parallel.init counts, and split the parent as often. *)
   let pred r _i = Dut_prng.Rng.unit_float r < 0.4 in
   for seed = 0 to 9 do
-    let count b =
-      with_reuse b (fun () ->
-          Dut_engine.Parallel.count ~jobs:1 ~rng:(rng seed) ~n:500 pred)
+    let msg = Printf.sprintf "seed %d" seed in
+    let ra = rng seed and rb = rng seed in
+    let expected =
+      Array.fold_left
+        (fun acc hit -> acc + Bool.to_int hit)
+        0
+        (Dut_engine.Parallel.init ~jobs:1 ~rng:ra ~n:500 pred)
     in
-    Alcotest.(check int)
-      (Printf.sprintf "seed %d" seed)
-      (count false) (count true)
+    Alcotest.(check int) msg expected
+      (Dut_engine.Parallel.count ~jobs:1 ~rng:rb ~n:500 pred);
+    check_same_state msg ra rb
   done
 
 let test_measure_jobs_invariant () =
@@ -420,8 +508,8 @@ let () =
             test_round_accept_equals_round;
           Alcotest.test_case "custom rule has no cutoff" `Quick
             test_custom_rule_not_count_decidable;
-          Alcotest.test_case "Parallel.count reuse-invariant" `Quick
-            test_parallel_count_reuse_invariant;
+          Alcotest.test_case "Parallel.count = fold over init" `Quick
+            test_parallel_count_equals_init_fold;
         ] );
       ( "search",
         [
@@ -435,6 +523,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_collisions_bounded_equals_collisions;
+            prop_single_sample_equals_legacy;
             prop_hist_counts_match_naive;
             prop_search_seeded_equals_search;
             prop_accept_min_matches_apply;
