@@ -23,11 +23,15 @@ type message = Count of int | Verdict of bool
 let null_reject_cutoff ~k ~n ~eps ~q ~calibration_trials ~rng =
   let calibration_rng = Dut_prng.Rng.split rng in
   let null_rejects r =
+    (* One scratch buffer per trial, refilled for every vote: [ints_into]
+       draws exactly the stream of [q] calls to [Rng.int r n]. *)
+    let samples = Dut_engine.Scratch.borrow ~len:q in
     let count = ref 0 in
     for _ = 1 to k do
-      let samples = Array.init q (fun _ -> Dut_prng.Rng.int r n) in
+      Dut_prng.Rng.ints_into r ~bound:n samples;
       if not (Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples) then incr count
     done;
+    Dut_engine.Scratch.release samples;
     !count
   in
   Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials

@@ -5,8 +5,6 @@ type t = {
   splitter : Splitmix.t;
 }
 
-let m32 = 0xFFFFFFFF
-
 let of_int64 seed =
   {
     gen = Xoshiro.create seed;
@@ -26,16 +24,9 @@ let split t =
    (that is precisely what [Xoshiro.create] does with a fresh one), and
    is then re-pointed at mix(lognot child_seed), matching [of_int64]. *)
 let split_into t child =
-  Splitmix.next_pair t.splitter;
-  let sh = Splitmix.out_hi t.splitter and sl = Splitmix.out_lo t.splitter in
-  Splitmix.set_state child.splitter ~hi:sh ~lo:sl;
+  Splitmix.split_begin t.splitter child.splitter;
   Xoshiro.reseed child.gen child.splitter;
-  (* splitter state := mix (lognot child_seed); lognot in the pair
-     domain is xor with all-ones halves. *)
-  Splitmix.mix_pair child.splitter ~hi:(sh lxor m32) ~lo:(sl lxor m32);
-  Splitmix.set_state child.splitter
-    ~hi:(Splitmix.out_hi child.splitter)
-    ~lo:(Splitmix.out_lo child.splitter)
+  Splitmix.split_finish child.splitter
 
 let split_n t k = Array.init k (fun _ -> split t)
 
@@ -58,28 +49,25 @@ let release_child r =
 
 let bits64 t = Xoshiro.next_int64 t.gen
 
-(* The allocation-free draws below read the step output back as halves;
-   [bits63] and [bits53] are the integer lattices behind [int] and
+(* [bits63] and [bits53] are the integer lattices behind [int] and
    [unit_float], exposed so samplers can hoist comparisons into the
    integer domain. *)
 
-let[@inline] bits63 t =
-  let g = t.gen in
-  Xoshiro.step g;
-  ((Xoshiro.out_hi g land 0x7FFFFFFF) lsl 32) lor Xoshiro.out_lo g
+let[@inline] bits63 t = Xoshiro.bits63 t.gen
 
-let[@inline] bits53 t =
-  let g = t.gen in
-  Xoshiro.step g;
-  (Xoshiro.out_hi g lsl 21) lor (Xoshiro.out_lo g lsr 11)
+let[@inline] bits53 t = Xoshiro.bits53 t.gen
 
-(* Lemire's nearly-divisionless unbiased bounded generation, specialised to
-   OCaml's 63-bit ints. We draw 64 bits, keep the low 63 (non-negative as an
-   OCaml int), and reject into the unbiased range. *)
+(* Unbiased bounded generation by bitmask and rejection. We draw 64
+   bits, keep the low bits under the smallest all-ones mask covering the
+   bound (the mask also clears [bits63]'s sign bit), and reject into the
+   unbiased range. *)
 
-let[@inline] mask_for bound =
-  let rec mask_of m = if m >= bound - 1 then m else mask_of ((m lsl 1) lor 1) in
-  mask_of 1
+(* Top-level like [masked_int] below: a local [let rec] capturing
+   [bound] would allocate a closure on every [int] call. *)
+let rec mask_of bound m =
+  if m >= bound - 1 then m else mask_of bound ((m lsl 1) lor 1)
+
+let[@inline] mask_for bound = mask_of bound 1
 
 (* Top-level recursion, not a local [let rec]: a local recursive
    function capturing [t]/[mask] is a fresh closure on every call
@@ -117,10 +105,7 @@ let unit_floats_into t buf =
 
 let float t bound = bound *. unit_float t
 
-let bool t =
-  let g = t.gen in
-  Xoshiro.step g;
-  Xoshiro.out_lo g land 1 = 1
+let bool t = Xoshiro.low_bit t.gen = 1
 
 let sign t = if bool t then 1 else -1
 

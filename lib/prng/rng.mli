@@ -46,9 +46,10 @@ val bits64 : t -> int64
 (** 64 uniformly random bits. *)
 
 val bits63 : t -> int
-(** The low 63 bits of a 64-bit draw, as a non-negative native int:
-    the integer lattice behind {!int}. One call consumes exactly one
-    64-bit draw. *)
+(** The low 63 bits of a 64-bit draw, as a two's-complement native
+    int: draw bit 62 lands in the sign bit, so half of all values are
+    negative and callers mask before use. The integer lattice behind
+    {!int}. One call consumes exactly one 64-bit draw. *)
 
 val bits53 : t -> int
 (** The top 53 bits of a 64-bit draw: the integer lattice behind

@@ -4,7 +4,12 @@
     BigCrush when used as a stream and, crucially for this project, supports
     {e splitting}: deriving statistically independent child generators from
     a parent. We use it both as a stand-alone generator and as the seeding
-    mechanism for {!Dut_prng.Xoshiro}. *)
+    mechanism for {!Dut_prng.Xoshiro}.
+
+    The state is a raw 64-bit word in a [Bytes.t], stepped with the
+    textbook [Int64] kernel ({!next_state}, {!mix}). The in-place entry
+    points ({!next_into}, {!split_begin}, {!split_finish}) allocate
+    nothing and hand no [int64] across the module boundary. *)
 
 type t
 (** Mutable generator state. *)
@@ -33,34 +38,17 @@ val split : t -> t
 (** [split t] advances [t] and returns a child generator whose stream is
     independent of the parent's subsequent outputs. *)
 
-(** {1 Allocation-free pair kernel}
+val next_into : t -> Bytes.t -> int -> unit
+(** [next_into t dst off] is {!next_int64} with the word stored at byte
+    offset [off] of [dst] (native endianness, unchecked: [off + 8] must
+    not exceed [Bytes.length dst]) instead of returned. *)
 
-    The 64-bit state is stored as two native-int 32-bit halves, and the
-    hot-path entry points below neither allocate nor return boxed
-    values: a step writes its mixed output into the generator record,
-    and the caller reads it back through {!out_hi}/{!out_lo}. The
-    streams are bit-identical to {!next_int64} (which is implemented on
-    this kernel); the pure {!next_state}/{!mix} functions above remain
-    the executable specification the kernel is tested against. *)
+val split_begin : t -> t -> unit
+(** [split_begin parent child] draws one word from [parent] and makes it
+    [child]'s state, also keeping it aside for {!split_finish}. The
+    caller may then draw from [child] (e.g. {!Xoshiro.reseed}). *)
 
-val next_pair : t -> unit
-(** [next_pair t] advances the state and mixes the output into the
-    [out_hi]/[out_lo] fields — the allocation-free equivalent of
-    {!next_int64}. *)
-
-val out_hi : t -> int
-(** Bits 32..63 of the last output produced by {!next_pair} or
-    {!mix_pair}, in [0, 2{^32}). *)
-
-val out_lo : t -> int
-(** Bits 0..31 of the last output, in [0, 2{^32}). *)
-
-val set_state : t -> hi:int -> lo:int -> unit
-(** [set_state t ~hi ~lo] re-seeds [t] in place with the 64-bit state
-    [hi * 2{^32} + lo]; both halves must be in [0, 2{^32}). Used to
-    recycle one scratch generator across in-place splits. *)
-
-val mix_pair : t -> hi:int -> lo:int -> unit
-(** [mix_pair t ~hi ~lo] applies the mix13 finalizer to the given pair
-    (the pair-domain {!mix}) without touching [t]'s state; the result
-    lands in [out_hi]/[out_lo]. *)
+val split_finish : t -> unit
+(** [split_finish child] sets [child]'s state to [mix (lognot seed)],
+    where [seed] is the word of the last {!split_begin} into [child].
+    Together the pair re-seeds a recycled child without allocating. *)

@@ -1,199 +1,97 @@
-(* xoshiro256++ with each of the four 64-bit state words held as two
-   native-int 32-bit halves. The original [int64] representation boxed
-   every intermediate (no flambda), costing hundreds of minor words per
-   draw on the Monte-Carlo hot path; the pair kernel below performs the
-   same adds/xors/rotates on immediates and writes its output into the
-   record, so a [step] allocates nothing. xoshiro256++ needs no 64-bit
-   multiply, so every pair operation is exact by construction; the
-   streams are bit-identical to the reference implementation (checked
-   word-by-word by the tests). *)
+(* xoshiro256++ over a 40-byte state: words s0..s3 at byte offsets 0,
+   8, 16, 24 and the last output at 32. ocamlopt keeps let-bound [Int64]
+   locals and the [%caml_bytes_get64u]/[%caml_bytes_set64u] loads and
+   stores unboxed, so [step] is the textbook kernel and allocates
+   nothing. A function that returns an [int64] boxes its result when
+   called from another module (no flambda, and dune's default profile
+   compiles with -opaque), so the hot-path accessors convert to a
+   native int here and never hand out an [int64]. *)
 
-type t = {
-  mutable s0h : int;
-  mutable s0l : int;
-  mutable s1h : int;
-  mutable s1l : int;
-  mutable s2h : int;
-  mutable s2l : int;
-  mutable s3h : int;
-  mutable s3l : int;
-  (* Last output of [step], as 32-bit halves: callers read fields
-     instead of a return value so the hot path never boxes. *)
-  mutable out_hi : int;
-  mutable out_lo : int;
-}
+type t = Bytes.t
 
-let m32 = 0xFFFFFFFF
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-let[@inline] lo32 (s : int64) = Int64.to_int (Int64.logand s 0xFFFFFFFFL)
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let[@inline] hi32 (s : int64) = Int64.to_int (Int64.shift_right_logical s 32)
-
-let[@inline] to_int64 ~hi ~lo =
-  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+let out = 32
 
 let of_state s0 s1 s2 s3 =
   if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then
     invalid_arg "Xoshiro.of_state: all-zero state";
-  {
-    s0h = hi32 s0;
-    s0l = lo32 s0;
-    s1h = hi32 s1;
-    s1l = lo32 s1;
-    s2h = hi32 s2;
-    s2l = lo32 s2;
-    s3h = hi32 s3;
-    s3l = lo32 s3;
-    out_hi = 0;
-    out_lo = 0;
-  }
-
-(* [reseed t sm] refills [t]'s state with four successive SplitMix64
-   words drawn from [sm] — the in-place equivalent of [create], letting
-   one generator record be re-seeded across protocol rounds without
-   allocation. The all-zero guard mirrors [create]. *)
-let reseed t sm =
-  Splitmix.next_pair sm;
-  t.s0h <- Splitmix.out_hi sm;
-  t.s0l <- Splitmix.out_lo sm;
-  Splitmix.next_pair sm;
-  t.s1h <- Splitmix.out_hi sm;
-  t.s1l <- Splitmix.out_lo sm;
-  Splitmix.next_pair sm;
-  t.s2h <- Splitmix.out_hi sm;
-  t.s2l <- Splitmix.out_lo sm;
-  Splitmix.next_pair sm;
-  t.s3h <- Splitmix.out_hi sm;
-  t.s3l <- Splitmix.out_lo sm;
-  if
-    t.s0h lor t.s0l lor t.s1h lor t.s1l lor t.s2h lor t.s2l lor t.s3h
-    lor t.s3l = 0
-  then begin
-    (* SplitMix64 never yields four zero words in a row for any seed,
-       but we keep the guard for safety: fall back to state (1,0,0,0)
-       exactly as [create] always did. *)
-    t.s0h <- 0;
-    t.s0l <- 1
-  end
-
-let create seed =
-  let sm = Splitmix.create seed in
-  let t =
-    {
-      s0h = 0;
-      s0l = 1;
-      s1h = 0;
-      s1l = 0;
-      s2h = 0;
-      s2l = 0;
-      s3h = 0;
-      s3l = 0;
-      out_hi = 0;
-      out_lo = 0;
-    }
-  in
-  reseed t sm;
+  let t = Bytes.make 40 '\000' in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 s2;
+  set64 t 24 s3;
   t
 
-let copy t =
-  {
-    s0h = t.s0h;
-    s0l = t.s0l;
-    s1h = t.s1h;
-    s1l = t.s1l;
-    s2h = t.s2h;
-    s2l = t.s2l;
-    s3h = t.s3h;
-    s3l = t.s3l;
-    out_hi = t.out_hi;
-    out_lo = t.out_lo;
-  }
+(* Four successive SplitMix64 words, in place: [create] without the
+   allocation, so one generator can be re-seeded across protocol
+   rounds. SplitMix64 never yields four zero words in a row, but the
+   guard keeps the state valid regardless: fall back to (1, 0, 0, 0). *)
+let reseed t sm =
+  Splitmix.next_into sm t 0;
+  Splitmix.next_into sm t 8;
+  Splitmix.next_into sm t 16;
+  Splitmix.next_into sm t 24;
+  if
+    Int64.logor (Int64.logor (get64 t 0) (get64 t 8))
+      (Int64.logor (get64 t 16) (get64 t 24))
+    = 0L
+  then set64 t 0 1L
 
-(* One xoshiro256++ step: result = rotl(s0 + s3, 23) + s0, then the
-   linear state transition. Pair identities used below (all halves in
-   [0, 2^32), [m32] masks restore the invariant after every shift/add):
-   - add: low = al + bl; carry = low lsr 32; high = ah + bh + carry
-   - rotl k (k < 32): hi' = (h lsl k) lor (l lsr (32-k)),
-                      lo' = (l lsl k) lor (h lsr (32-k))
-   - rotl 45 = swap halves, then rotl 13
-   - shl 17: hi' = (h lsl 17) lor (l lsr 15), lo' = l lsl 17 *)
-let step t =
-  (* s0 + s3 *)
-  let al = t.s0l + t.s3l in
-  let ah = (t.s0h + t.s3h + (al lsr 32)) land m32 in
-  let al = al land m32 in
-  (* rotl 23 *)
-  let rh = ((ah lsl 23) lor (al lsr 9)) land m32 in
-  let rl = ((al lsl 23) lor (ah lsr 9)) land m32 in
-  (* + s0 *)
-  let ol = rl + t.s0l in
-  t.out_hi <- (rh + t.s0h + (ol lsr 32)) land m32;
-  t.out_lo <- ol land m32;
-  (* tmp = s1 << 17 *)
-  let th = ((t.s1h lsl 17) lor (t.s1l lsr 15)) land m32 in
-  let tl = (t.s1l lsl 17) land m32 in
-  t.s2h <- t.s2h lxor t.s0h;
-  t.s2l <- t.s2l lxor t.s0l;
-  t.s3h <- t.s3h lxor t.s1h;
-  t.s3l <- t.s3l lxor t.s1l;
-  t.s1h <- t.s1h lxor t.s2h;
-  t.s1l <- t.s1l lxor t.s2l;
-  t.s0h <- t.s0h lxor t.s3h;
-  t.s0l <- t.s0l lxor t.s3l;
-  t.s2h <- t.s2h lxor th;
-  t.s2l <- t.s2l lxor tl;
-  (* s3 = rotl(s3, 45) *)
-  let h = t.s3h and l = t.s3l in
-  t.s3h <- ((l lsl 13) lor (h lsr 19)) land m32;
-  t.s3l <- ((h lsl 13) lor (l lsr 19)) land m32
+let create seed =
+  let t = Bytes.make 40 '\000' in
+  reseed t (Splitmix.create seed);
+  t
 
-let out_hi t = t.out_hi
+let copy = Bytes.copy
 
-let out_lo t = t.out_lo
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+let[@inline] step t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  set64 t out (Int64.add (rotl (Int64.add s0 s3) 23) s0);
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64 t 0 s0;
+  set64 t 8 s1;
+  set64 t 16 (Int64.logxor s2 tmp);
+  set64 t 24 (rotl s3 45)
 
 let next_int64 t =
   step t;
-  to_int64 ~hi:t.out_hi ~lo:t.out_lo
+  get64 t out
 
-(* Jump polynomial coefficients, as (hi, lo) half pairs of the original
-   64-bit constants. *)
+let bits63 t =
+  step t;
+  Int64.to_int (get64 t out)
+
+let bits53 t =
+  step t;
+  Int64.to_int (Int64.shift_right_logical (get64 t out) 11)
+
+let low_bit t =
+  step t;
+  Int64.to_int (get64 t out) land 1
+
 let jump_constants =
-  [|
-    (0x180EC6D3, 0x3CFD0ABA);
-    (0xD5A61266, 0xF0C9392C);
-    (0xA9582618, 0xE03FC9AA);
-    (0x39ABDC45, 0x29B1661C);
-  |]
+  [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
 let jump t =
-  let s0h = ref 0 and s0l = ref 0 in
-  let s1h = ref 0 and s1l = ref 0 in
-  let s2h = ref 0 and s2l = ref 0 in
-  let s3h = ref 0 and s3l = ref 0 in
+  let acc = Bytes.make 32 '\000' in
   Array.iter
-    (fun (ch, cl) ->
+    (fun c ->
       for b = 0 to 63 do
-        let bit =
-          if b < 32 then (cl lsr b) land 1 else (ch lsr (b - 32)) land 1
-        in
-        if bit = 1 then begin
-          s0h := !s0h lxor t.s0h;
-          s0l := !s0l lxor t.s0l;
-          s1h := !s1h lxor t.s1h;
-          s1l := !s1l lxor t.s1l;
-          s2h := !s2h lxor t.s2h;
-          s2l := !s2l lxor t.s2l;
-          s3h := !s3h lxor t.s3h;
-          s3l := !s3l lxor t.s3l
-        end;
+        if Int64.logand (Int64.shift_right_logical c b) 1L <> 0L then
+          for w = 0 to 3 do
+            set64 acc (8 * w) (Int64.logxor (get64 acc (8 * w)) (get64 t (8 * w)))
+          done;
         step t
       done)
     jump_constants;
-  t.s0h <- !s0h;
-  t.s0l <- !s0l;
-  t.s1h <- !s1h;
-  t.s1l <- !s1l;
-  t.s2h <- !s2h;
-  t.s2l <- !s2l;
-  t.s3h <- !s3h;
-  t.s3l <- !s3l
+  Bytes.blit acc 0 t 0 32

@@ -2,7 +2,13 @@
 
     256 bits of state, period 2^256 − 1, excellent statistical quality and
     very fast. This is the workhorse generator behind {!Dut_prng.Rng}; it is
-    seeded from {!Dut_prng.Splitmix} as its authors recommend. *)
+    seeded from {!Dut_prng.Splitmix} as its authors recommend.
+
+    The state is four raw 64-bit words in a [Bytes.t], stepped with the
+    textbook [Int64] kernel; a step allocates nothing. The draws that
+    feed the hot path ({!bits63}, {!bits53}, {!low_bit}) return native
+    ints: an [int64] result boxes when it crosses a module boundary,
+    so only the cold {!next_int64} returns one. *)
 
 type t
 (** Mutable generator state. Never all-zero. *)
@@ -19,33 +25,26 @@ val of_state : int64 -> int64 -> int64 -> int64 -> t
 val copy : t -> t
 (** Independent copy of the current state. *)
 
-val next_int64 : t -> int64
-(** 64 fresh uniformly random bits. *)
-
-val jump : t -> unit
-(** [jump t] advances [t] by 2^128 steps; used to derive long
-    non-overlapping subsequences from a single stream. *)
-
-(** {1 Allocation-free pair kernel}
-
-    The state words are stored as native-int 32-bit halves and a step
-    writes its output into the record, so the hot path never boxes an
-    [int64]. Streams are bit-identical to {!next_int64}, which is
-    implemented on this kernel. *)
-
-val step : t -> unit
-(** [step t] advances the generator one draw; the 64 output bits land in
-    the fields read by {!out_hi}/{!out_lo}. Equivalent to
-    {!next_int64} without the boxed return. *)
-
-val out_hi : t -> int
-(** Bits 32..63 of the last {!step} output, in [0, 2{^32}). *)
-
-val out_lo : t -> int
-(** Bits 0..31 of the last {!step} output, in [0, 2{^32}). *)
-
 val reseed : t -> Splitmix.t -> unit
 (** [reseed t sm] refills [t]'s four state words with successive draws
     from [sm], exactly as {!create} seeds a fresh generator — the
     in-place, allocation-free variant used to recycle one generator
-    record across protocol rounds. *)
+    across protocol rounds. *)
+
+val next_int64 : t -> int64
+(** 64 fresh uniformly random bits. *)
+
+val bits63 : t -> int
+(** One step; the low 63 bits of the output as a two's-complement
+    native int ([Int64.to_int] of {!next_int64}'s word): bit 62 lands
+    in the sign bit, so callers mask. *)
+
+val bits53 : t -> int
+(** One step; the top 53 bits of the output, in [0, 2{^53}). *)
+
+val low_bit : t -> int
+(** One step; bit 0 of the output. *)
+
+val jump : t -> unit
+(** [jump t] advances [t] by 2^128 steps; used to derive long
+    non-overlapping subsequences from a single stream. *)

@@ -91,3 +91,19 @@ let single_sample_accepts ~n ~eps ~k ~bits rng source =
         (Array.iter (fun c -> colliding := !colliding + (c * (c - 1) / 2)))
         counts;
       float_of_int !colliding < cutoff)
+
+(* The LOCAL tester's null calibration before the scratch buffer: a
+   fresh [Array.init q (Rng.int r n)] sample tuple for every simulated
+   vote. *)
+let local_null_reject_cutoff ~k ~n ~eps ~q ~calibration_trials ~rng =
+  let calibration_rng = Dut_prng.Rng.split rng in
+  let null_rejects r =
+    let count = ref 0 in
+    for _ = 1 to k do
+      let samples = Array.init q (fun _ -> Dut_prng.Rng.int r n) in
+      if not (Dut_core.Local_stat.vote_midpoint ~n ~q ~eps samples) then incr count
+    done;
+    !count
+  in
+  Dut_protocol.Calibrate.reject_count_cutoff ~trials:calibration_trials
+    calibration_rng ~rejects:null_rejects ~level:0.2

@@ -263,6 +263,23 @@ let test_local_tester_concurrent_message_counts () =
   in
   Alcotest.(check int) "runs with a wrong message count" 0 wrong
 
+let test_local_tester_cutoff_matches_oracle () =
+  (* The scratch-buffer calibration draws the stream of the fresh
+     [Array.init] body: same cutoff, same generator state afterwards. *)
+  List.iter
+    (fun (k, q, seed) ->
+      let a = Dut_prng.Rng.create seed and b = Dut_prng.Rng.create seed in
+      let n = 64 and eps = 0.3 and calibration_trials = 50 in
+      Alcotest.(check int)
+        (Printf.sprintf "cutoff k=%d q=%d seed=%d" k q seed)
+        (Legacy_kernels.local_null_reject_cutoff ~k ~n ~eps ~q
+           ~calibration_trials ~rng:a)
+        (Local_tester.null_reject_cutoff ~k ~n ~eps ~q ~calibration_trials
+           ~rng:b);
+      Alcotest.(check int64) "generator state after" (Dut_prng.Rng.bits64 a)
+        (Dut_prng.Rng.bits64 b))
+    [ (1, 8, 301); (8, 20, 302); (16, 45, 303); (36, 90, 304); (5, 0, 305) ]
+
 let test_local_tester_errors () =
   let rng = Dut_prng.Rng.create 207 in
   Alcotest.check_raises "disconnected"
@@ -401,6 +418,8 @@ let () =
           Alcotest.test_case "single node" `Quick test_local_tester_single_node;
           Alcotest.test_case "message counts under concurrency" `Quick
             test_local_tester_concurrent_message_counts;
+          Alcotest.test_case "cutoff = Array.init oracle" `Quick
+            test_local_tester_cutoff_matches_oracle;
           Alcotest.test_case "errors" `Quick test_local_tester_errors;
         ] );
       ( "gossip",

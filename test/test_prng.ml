@@ -268,48 +268,71 @@ let test_float_bound () =
   done;
   check_float "float 0 bound" 0. (Rng.float rng 0.)
 
-(* -- Pair kernel vs the Int64 reference ------------------------------ *)
+(* -- Word kernel vs the Int64 reference ------------------------------ *)
 
-(* Textbook splitmix64, kept in Int64 the whole way. The production
-   kernel runs on 32-bit native halves to stay allocation-free, so
-   matching this reference word for word across seeds certifies the
-   limb arithmetic (carries, cross products, shifts across the seam). *)
+(* Textbook splitmix64 and xoshiro256++, written independently of the
+   production kernels (which step raw words in a [Bytes] state), so
+   matching them word for word across seeds pins the streams. *)
+let golden_gamma_ref = 0x9E3779B97F4A7C15L
+
+let mix_ref z =
+  let z =
+    Int64.mul
+      (Int64.logxor z (Int64.shift_right_logical z 30))
+      0xBF58476D1CE4E5B9L
+  in
+  let z =
+    Int64.mul
+      (Int64.logxor z (Int64.shift_right_logical z 27))
+      0x94D049BB133111EBL
+  in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
 let splitmix_ref seed =
   let state = ref seed in
   fun () ->
-    state := Int64.add !state 0x9E3779B97F4A7C15L;
-    let z = !state in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    Int64.logxor z (Int64.shift_right_logical z 31)
+    state := Int64.add !state golden_gamma_ref;
+    mix_ref !state
 
 let rotl64 x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-(* Textbook xoshiro256++ in Int64, seeded exactly as [Xoshiro.create]:
-   four splitmix64 words (all-zero guarded to s0 = 1). *)
+(* Textbook xoshiro256++ in Int64 over the state words [s], stepping
+   them in place. *)
+let xoshiro_ref_of_state s () =
+  let result = Int64.add (rotl64 (Int64.add s.(0) s.(3)) 23) s.(0) in
+  let t = Int64.shift_left s.(1) 17 in
+  s.(2) <- Int64.logxor s.(2) s.(0);
+  s.(3) <- Int64.logxor s.(3) s.(1);
+  s.(1) <- Int64.logxor s.(1) s.(2);
+  s.(0) <- Int64.logxor s.(0) s.(3);
+  s.(2) <- Int64.logxor s.(2) t;
+  s.(3) <- rotl64 s.(3) 45;
+  result
+
+(* Seeded exactly as [Xoshiro.create]: four splitmix64 words (all-zero
+   guarded to s0 = 1). *)
 let xoshiro_ref seed =
   let sm = splitmix_ref seed in
   let s = Array.init 4 (fun _ -> sm ()) in
   if Array.for_all (Int64.equal 0L) s then s.(0) <- 1L;
-  fun () ->
-    let result = Int64.add (rotl64 (Int64.add s.(0) s.(3)) 23) s.(0) in
-    let t = Int64.shift_left s.(1) 17 in
-    s.(2) <- Int64.logxor s.(2) s.(0);
-    s.(3) <- Int64.logxor s.(3) s.(1);
-    s.(1) <- Int64.logxor s.(1) s.(2);
-    s.(0) <- Int64.logxor s.(0) s.(3);
-    s.(2) <- Int64.logxor s.(2) t;
-    s.(3) <- rotl64 s.(3) 45;
-    result
+  xoshiro_ref_of_state s
+
+(* The textbook jump: xor together the states at the set bits of the
+   jump polynomial, stepping once per bit. *)
+let xoshiro_ref_jump s =
+  let next = xoshiro_ref_of_state s in
+  let acc = Array.make 4 0L in
+  Array.iter
+    (fun c ->
+      for b = 0 to 63 do
+        if Int64.logand c (Int64.shift_left 1L b) <> 0L then
+          Array.iteri (fun i w -> acc.(i) <- Int64.logxor acc.(i) w) s;
+        ignore (next ())
+      done)
+    [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL;
+       0x39ABDC4529B1661CL |];
+  Array.blit acc 0 s 0 4
 
 let kernel_seeds =
   [ 0L; 1L; -1L; 123456789L; 0xDEADBEEFL; Int64.min_int; Int64.max_int ]
@@ -337,6 +360,77 @@ let test_xoshiro_matches_int64_reference () =
           (next ()) (Xoshiro.next_int64 t)
       done)
     kernel_seeds
+
+let test_xoshiro_jump_matches_int64_reference () =
+  List.iter
+    (fun (s0, s1, s2, s3) ->
+      let t = Xoshiro.of_state s0 s1 s2 s3 in
+      let s = [| s0; s1; s2; s3 |] in
+      Xoshiro.jump t;
+      xoshiro_ref_jump s;
+      let next = xoshiro_ref_of_state s in
+      for i = 1 to 100 do
+        Alcotest.(check int64)
+          (Printf.sprintf "state %Ld word %d after jump" s0 i)
+          (next ()) (Xoshiro.next_int64 t)
+      done)
+    [
+      (1L, 0L, 0L, 0L);
+      (-1L, -1L, -1L, -1L);
+      (0x0123456789ABCDEFL, 0L, Int64.min_int, 42L);
+      (123L, 456L, 789L, 1011L);
+    ]
+
+let test_splitmix_split_matches_int64_reference () =
+  (* The child is seeded with the parent's next output xor a second
+     finalizer of the state after it; the parent skips that state. *)
+  List.iter
+    (fun seed ->
+      let t = Splitmix.create seed in
+      let child = Splitmix.split t in
+      let s1 = Int64.add seed golden_gamma_ref in
+      let s2 = Int64.add s1 golden_gamma_ref in
+      let gamma =
+        Int64.logor (mix_ref (Int64.logxor s2 0xA5A5A5A5A5A5A5A5L)) 1L
+      in
+      let child_ref = splitmix_ref (Int64.logxor (mix_ref s1) gamma) in
+      let parent_ref = splitmix_ref s2 in
+      for i = 1 to 100 do
+        Alcotest.(check int64)
+          (Printf.sprintf "seed %Ld child word %d" seed i)
+          (child_ref ()) (Splitmix.next_int64 child);
+        Alcotest.(check int64)
+          (Printf.sprintf "seed %Ld parent word %d" seed i)
+          (parent_ref ()) (Splitmix.next_int64 t)
+      done)
+    kernel_seeds
+
+let test_hot_draws_box_no_int64 () =
+  (* A boxed [int64] crossing a module boundary costs 3 words per call,
+     so a cap of 1 catches it. [unit_float] returns a boxed float of its
+     own (2 words: no cross-module inlining in the default build), so
+     its cap sits 1 word above that. *)
+  let r = Rng.create 43 in
+  let child = Rng.borrow_child () in
+  let sink = ref 0 in
+  let calls = 100_000 in
+  let check name ~cap f =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    let w = (Gc.minor_words () -. before) /. float_of_int calls in
+    if w >= cap then
+      Alcotest.failf "%s: %.3f minor words per call (cap %.0f)" name w cap
+  in
+  check "bits63" ~cap:1. (fun () -> sink := !sink lxor Rng.bits63 r);
+  check "bits53" ~cap:1. (fun () -> sink := !sink lxor Rng.bits53 r);
+  check "bool" ~cap:1. (fun () -> if Rng.bool r then incr sink);
+  check "int" ~cap:1. (fun () -> sink := !sink + Rng.int r 1000);
+  check "unit_float" ~cap:3. (fun () -> if Rng.unit_float r < 0.5 then incr sink);
+  check "split_into" ~cap:1. (fun () -> Rng.split_into r child);
+  Rng.release_child child;
+  ignore (Sys.opaque_identity !sink)
 
 let test_unit_float_is_bits53_lattice () =
   (* unit_float is the 53-bit integer lattice scaled by 2^-53 — the
@@ -401,6 +495,21 @@ let prop_unit_floats_into_equals_scalar =
       Rng.unit_floats_into a buf;
       let expected = Array.init len (fun _ -> Rng.unit_float b) in
       expected = buf && Rng.bits64 a = Rng.bits64 b)
+
+let prop_int_draws_are_bits64_views =
+  (* Twin streams: each int-returning draw is a fixed view of the word
+     [bits64] returns at the same position. *)
+  QCheck.Test.make ~name:"bits63/bits53/bool = views of bits64" ~count:200
+    QCheck.int64 (fun seed ->
+      let a = Rng.of_int64 seed and b = Rng.of_int64 seed in
+      let ok = ref true in
+      for _ = 1 to 20 do
+        if Rng.bits63 a <> Int64.to_int (Rng.bits64 b) then ok := false;
+        if Rng.bits53 a <> Int64.to_int (Int64.shift_right_logical (Rng.bits64 b) 11)
+        then ok := false;
+        if Rng.bool a <> (Int64.logand (Rng.bits64 b) 1L = 1L) then ok := false
+      done;
+      !ok)
 
 let prop_split_into_equals_split =
   (* Reseeding a scratch child in place must give the stream a fresh
@@ -477,11 +586,20 @@ let () =
           Alcotest.test_case "borrowed child streams like split" `Quick
             test_borrow_child_streams_like_split;
         ] );
+      ( "word kernel",
+        [
+          Alcotest.test_case "xoshiro jump matches Int64 reference" `Quick
+            test_xoshiro_jump_matches_int64_reference;
+          Alcotest.test_case "splitmix split matches Int64 reference" `Quick
+            test_splitmix_split_matches_int64_reference;
+          Alcotest.test_case "hot draws box no int64" `Quick
+            test_hot_draws_box_no_int64;
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_int_in_bounds; prop_split_deterministic;
             prop_ints_into_equals_scalar; prop_unit_floats_into_equals_scalar;
-            prop_split_into_equals_split;
+            prop_split_into_equals_split; prop_int_draws_are_bits64_views;
           ] );
     ]
